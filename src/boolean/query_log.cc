@@ -29,14 +29,6 @@ int QueryLog::CountQueriesContainingAll(const DynamicBitset& attributes) const {
   return count;
 }
 
-QueryLog QueryLog::Complemented() const {
-  QueryLog result(schema_);
-  for (const DynamicBitset& q : queries_) {
-    result.AddQuery(q.Complement());
-  }
-  return result;
-}
-
 std::string QueryLog::ToCsv() const {
   CsvTable csv;
   csv.header = schema_.names();

@@ -39,9 +39,6 @@ class QueryLog {
   // `attributes` (the co-occurrence statistic driving ConsumeAttrCumul).
   int CountQueriesContainingAll(const DynamicBitset& attributes) const;
 
-  // The complemented log ~Q (Sec IV.C): every query's bit-vector flipped.
-  QueryLog Complemented() const;
-
   // CSV persistence (same layout as BooleanTable).
   std::string ToCsv() const;
   static StatusOr<QueryLog> FromCsv(const std::string& text);

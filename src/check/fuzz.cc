@@ -1125,6 +1125,18 @@ Status FuzzMultiTenantChaos(const MultiTenantChaosOptions& options) {
           std::to_string(response.epoch) + " recount " +
           std::to_string(recount) + " (stale cache result?)");
     }
+    // No exact-tier answer comes from a heuristic: solved or replayed from
+    // the cache, an undegraded exact answer is proved optimal. The one
+    // exception is a ladder downgrade to the greedy tier (level 2), which
+    // `ladder_downgraded` reports.
+    if (IsExactSolver(plan.request.solver) && !response.degraded &&
+        !response.ladder_downgraded && !solution.proved_optimal) {
+      return InternalError("request " + plan.request.id + " (" +
+                           plan.request.solver +
+                           ") got an answer not proved optimal from " +
+                           response.solver +
+                           (response.cache_hit ? " (cache hit)" : ""));
+    }
   }
 
   // Ledger audits over the merged snapshot.

@@ -121,6 +121,12 @@ Status FuzzServeChaos(const ChaosServeOptions& options = {});
 //  * cache determinism — after the storm, an identical back-to-back
 //    resubmission per tenant is answered from the cache with the same
 //    objective;
+//  * cache tiers — no exact-tier request (Fallback, the storm's default)
+//    is answered by a heuristic: every undegraded exact answer, solved
+//    or cached, is proved optimal. A degradation-ladder downgrade to the
+//    greedy tier (level 2, reported by `ladder_downgraded`) is the one
+//    case where an exact tier gets a heuristic answer; the storm runs
+//    with the ladder off;
 //  * observability — every request the storm submitted became exactly
 //    one wide event (recorded + ring drops == submitted) and every
 //    drained event re-parses canonically; the SLO engine's per-tenant

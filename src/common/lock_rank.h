@@ -75,7 +75,6 @@ inline constexpr LockRank kServeQueue{45, "serve.queue"};
 inline constexpr LockRank kMfiFlightTable{50, "serve.mfi.flights"};
 inline constexpr LockRank kMfiCache{55, "serve.mfi.cache"};
 inline constexpr LockRank kMfiFlight{60, "serve.mfi.flight"};
-inline constexpr LockRank kPreprocessingBitmaps{65, "serve.bitmaps"};
 
 // ---- serve layer: overload-control components ----
 inline constexpr LockRank kCostModel{70, "serve.cost_model"};

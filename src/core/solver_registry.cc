@@ -12,10 +12,13 @@ namespace soc {
 namespace {
 
 // The single source of truth: every advertised name pairs with its
-// factory, so RegisteredSolverNames() and CreateSolverByName() cannot
-// drift apart. Order is presentation order (see solver_registry.h).
+// tier and its factory, so RegisteredSolverNames(), IsExactSolver() and
+// CreateSolverByName() cannot drift apart. Order is presentation order
+// (see solver_registry.h).
 struct RegistryEntry {
   const char* name;
+  // Every answer the solver returns undegraded is proved optimal.
+  bool exact;
   std::unique_ptr<SocSolver> (*make)();
 };
 
@@ -26,26 +29,27 @@ std::unique_ptr<SocSolver> MakeMfiDfs() {
 }
 
 constexpr RegistryEntry kRegistry[] = {
-    {"BruteForce", [] { return std::unique_ptr<SocSolver>(
-                            std::make_unique<BruteForceSolver>()); }},
-    {"BranchAndBound", [] { return std::unique_ptr<SocSolver>(
-                                std::make_unique<BnbSocSolver>()); }},
-    {"ILP", [] { return std::unique_ptr<SocSolver>(
-                     std::make_unique<IlpSocSolver>()); }},
-    {"MaxFreqItemSets", [] { return std::unique_ptr<SocSolver>(
-                                 std::make_unique<MfiSocSolver>()); }},
-    {"MaxFreqItemSets-dfs", &MakeMfiDfs},
-    {"ConsumeAttr", [] { return std::unique_ptr<SocSolver>(
-                             std::make_unique<GreedySolver>(
-                                 GreedyKind::kConsumeAttr)); }},
-    {"ConsumeAttrCumul", [] { return std::unique_ptr<SocSolver>(
-                                  std::make_unique<GreedySolver>(
-                                      GreedyKind::kConsumeAttrCumul)); }},
-    {"ConsumeQueries", [] { return std::unique_ptr<SocSolver>(
-                                std::make_unique<GreedySolver>(
-                                    GreedyKind::kConsumeQueries)); }},
-    {"Fallback", [] { return std::unique_ptr<SocSolver>(
-                          std::make_unique<FallbackSolver>()); }},
+    {"BruteForce", true, [] { return std::unique_ptr<SocSolver>(
+                                  std::make_unique<BruteForceSolver>()); }},
+    {"BranchAndBound", true, [] { return std::unique_ptr<SocSolver>(
+                                      std::make_unique<BnbSocSolver>()); }},
+    {"ILP", true, [] { return std::unique_ptr<SocSolver>(
+                           std::make_unique<IlpSocSolver>()); }},
+    {"MaxFreqItemSets", false, [] { return std::unique_ptr<SocSolver>(
+                                        std::make_unique<MfiSocSolver>()); }},
+    {"MaxFreqItemSets-dfs", true, &MakeMfiDfs},
+    {"ConsumeAttr", false, [] { return std::unique_ptr<SocSolver>(
+                                    std::make_unique<GreedySolver>(
+                                        GreedyKind::kConsumeAttr)); }},
+    {"ConsumeAttrCumul", false, [] {
+       return std::unique_ptr<SocSolver>(
+           std::make_unique<GreedySolver>(GreedyKind::kConsumeAttrCumul));
+     }},
+    {"ConsumeQueries", false, [] { return std::unique_ptr<SocSolver>(
+                                       std::make_unique<GreedySolver>(
+                                           GreedyKind::kConsumeQueries)); }},
+    {"Fallback", true, [] { return std::unique_ptr<SocSolver>(
+                                std::make_unique<FallbackSolver>()); }},
 };
 
 }  // namespace
@@ -55,6 +59,13 @@ std::vector<std::string> RegisteredSolverNames() {
   names.reserve(std::size(kRegistry));
   for (const RegistryEntry& entry : kRegistry) names.emplace_back(entry.name);
   return names;
+}
+
+bool IsExactSolver(const std::string& name) {
+  for (const RegistryEntry& entry : kRegistry) {
+    if (name == entry.name) return entry.exact;
+  }
+  return false;
 }
 
 StatusOr<std::unique_ptr<SocSolver>> CreateSolverByName(

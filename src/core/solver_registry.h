@@ -18,6 +18,11 @@ namespace soc {
 // ConsumeAttr, ConsumeAttrCumul, ConsumeQueries, Fallback.
 std::vector<std::string> RegisteredSolverNames();
 
+// True iff `name` is a registered exact tier: every answer it returns
+// undegraded is proved optimal (BruteForce, BranchAndBound, ILP,
+// MaxFreqItemSets-dfs, Fallback). False for heuristics and unknown names.
+bool IsExactSolver(const std::string& name);
+
 // Creates a solver with default options by (case-sensitive) name; returns
 // NotFound with the list of valid names otherwise.
 StatusOr<std::unique_ptr<SocSolver>> CreateSolverByName(

@@ -2,29 +2,34 @@
 
 namespace soc::itemsets {
 
+TransactionDatabase::TransactionDatabase(int num_items, int num_transactions)
+    : num_items_(num_items),
+      num_transactions_(num_transactions),
+      columns_(num_items, DynamicBitset(num_transactions)) {}
+
 TransactionDatabase::TransactionDatabase(
-    std::vector<DynamicBitset> transactions)
-    : num_items_(transactions.empty()
-                     ? 0
-                     : static_cast<int>(transactions.front().size())),
-      transactions_(std::move(transactions)) {
-  for (const DynamicBitset& t : transactions_) {
-    SOC_CHECK_EQ(static_cast<int>(t.size()), num_items_);
-  }
-  columns_.assign(num_items_, DynamicBitset(transactions_.size()));
-  for (std::size_t tid = 0; tid < transactions_.size(); ++tid) {
-    transactions_[tid].ForEachSetBit(
+    const std::vector<DynamicBitset>& transactions)
+    : TransactionDatabase(
+          transactions.empty()
+              ? 0
+              : static_cast<int>(transactions.front().size()),
+          static_cast<int>(transactions.size())) {
+  for (std::size_t tid = 0; tid < transactions.size(); ++tid) {
+    SOC_CHECK_EQ(static_cast<int>(transactions[tid].size()), num_items_);
+    transactions[tid].ForEachSetBit(
         [this, tid](int item) { columns_[item].Set(tid); });
   }
 }
 
 TransactionDatabase TransactionDatabase::FromComplementedQueryLog(
     const QueryLog& log) {
-  return FromQueryLog(log.Complemented());
-}
-
-TransactionDatabase TransactionDatabase::FromQueryLog(const QueryLog& log) {
-  return TransactionDatabase(log.queries());
+  TransactionDatabase db(log.num_attributes(), log.size());
+  for (DynamicBitset& column : db.columns_) column.SetAll();
+  for (int q = 0; q < log.size(); ++q) {
+    log.query(q).ForEachSetBit(
+        [&db, q](int attr) { db.columns_[attr].Reset(q); });
+  }
+  return db;
 }
 
 TransactionDatabase TransactionDatabase::FromBooleanTable(

@@ -1,7 +1,8 @@
 // TransactionDatabase: the Boolean table R mined for frequent itemsets
-// (Sec IV.C). Rows are transactions over a set of items; both a horizontal
-// (row bitsets) and a vertical (per-item transaction-id bitmaps)
-// representation are kept, since the miners are tidset-based.
+// (Sec IV.C), kept in its vertical form only: one transaction-id bitmap
+// (tidset) per item. The miners are tidset-based, and the serving gate
+// reads the same tidsets of ~Q (serve/preprocessing_cache.h), so no
+// horizontal copy of the rows is stored.
 
 #ifndef SOC_ITEMSETS_TRANSACTION_DB_H_
 #define SOC_ITEMSETS_TRANSACTION_DB_H_
@@ -27,22 +28,18 @@ class TransactionDatabase {
  public:
   // `transactions[i]` is the item bitset of transaction i; all must share
   // one width (the number of items).
-  explicit TransactionDatabase(std::vector<DynamicBitset> transactions);
+  explicit TransactionDatabase(const std::vector<DynamicBitset>& transactions);
 
   // The complemented query log ~Q as a transaction database — the exact
-  // input of MaxFreqItemSets-SOC-CB-QL.
+  // input of MaxFreqItemSets-SOC-CB-QL. Built straight from the log's
+  // queries: the tidset of item a is the set of queries not mentioning a.
   static TransactionDatabase FromComplementedQueryLog(const QueryLog& log);
 
-  // A query log / Boolean table as-is.
-  static TransactionDatabase FromQueryLog(const QueryLog& log);
+  // A Boolean table as-is.
   static TransactionDatabase FromBooleanTable(const BooleanTable& table);
 
   int num_items() const { return num_items_; }
-  int num_transactions() const {
-    return static_cast<int>(transactions_.size());
-  }
-
-  const DynamicBitset& transaction(int t) const { return transactions_.at(t); }
+  int num_transactions() const { return num_transactions_; }
 
   // Transactions containing item `i` (the item's tidset).
   const DynamicBitset& item_tids(int i) const { return columns_.at(i); }
@@ -63,9 +60,12 @@ class TransactionDatabase {
   std::vector<int> ItemSupports() const;
 
  private:
+  // `num_items` empty tidsets over `num_transactions` transactions.
+  TransactionDatabase(int num_items, int num_transactions);
+
   int num_items_;
-  std::vector<DynamicBitset> transactions_;  // Horizontal.
-  std::vector<DynamicBitset> columns_;       // Vertical tidsets.
+  int num_transactions_;
+  std::vector<DynamicBitset> columns_;  // Vertical tidsets, one per item.
 };
 
 }  // namespace soc::itemsets

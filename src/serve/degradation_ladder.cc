@@ -52,7 +52,7 @@ std::string DegradationLadder::ApplyLevel(int level,
     return requested;
   }
   // Level >= 2: nothing but the greedy tier runs.
-  return "Fallback";
+  return "ConsumeAttrCumul";
 }
 
 }  // namespace soc::serve

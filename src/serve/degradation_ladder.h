@@ -12,7 +12,8 @@
 //   0  serve every request with its requested solver;
 //   1  exact tiers (BruteForce, BranchAndBound, ILP) downgrade to
 //      Fallback — mining and greedy tiers still run as requested;
-//   2  every request downgrades to Fallback's greedy tier.
+//   2  every request downgrades to the greedy tier, ConsumeAttrCumul
+//      (Fallback would not do: its first tier is an uncapped B&B).
 //
 // Thread-safe; Observe is called concurrently from workers.
 

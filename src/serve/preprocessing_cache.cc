@@ -11,10 +11,25 @@
 
 namespace soc::serve {
 
+namespace {
+
+std::shared_ptr<const itemsets::TransactionDatabase> ComplementedDb(
+    const QueryLog& log) {
+  return std::make_shared<const itemsets::TransactionDatabase>(
+      itemsets::TransactionDatabase::FromComplementedQueryLog(log));
+}
+
+}  // namespace
+
 SharedMfiIndex::SharedMfiIndex(const QueryLog& log, MfiSocOptions options,
                                std::size_t capacity)
-    : db_(itemsets::TransactionDatabase::FromComplementedQueryLog(log)),
-      log_size_(log.size()),
+    : SharedMfiIndex(ComplementedDb(log), std::move(options), capacity) {}
+
+SharedMfiIndex::SharedMfiIndex(
+    std::shared_ptr<const itemsets::TransactionDatabase> db,
+    MfiSocOptions options, std::size_t capacity)
+    : db_(std::move(db)),
+      log_size_(db_->num_transactions()),
       options_(std::move(options)),
       capacity_(std::max<std::size_t>(1, capacity)) {}
 
@@ -22,8 +37,8 @@ StatusOr<std::vector<itemsets::FrequentItemset>> SharedMfiIndex::Mine(
     int threshold, SolveContext* context) {
   return options_.engine == MfiEngine::kRandomWalk
              ? itemsets::MineMaximalItemsetsRandomWalk(
-                   db_, threshold, options_.walk, /*stats=*/nullptr, context)
-             : itemsets::MineMaximalItemsetsDfs(db_, threshold, options_.dfs,
+                   *db_, threshold, options_.walk, /*stats=*/nullptr, context)
+             : itemsets::MineMaximalItemsetsDfs(*db_, threshold, options_.dfs,
                                                 context);
 }
 
@@ -156,7 +171,7 @@ CacheStats SharedMfiIndex::stats() const {
   // Per-itemset estimate: the FrequentItemset struct plus its bitset's
   // word storage. Close enough for a capacity-planning gauge.
   const std::int64_t bitset_bytes =
-      static_cast<std::int64_t>((db_.num_items() + 63) / 64) * 8;
+      static_cast<std::int64_t>((db_->num_items() + 63) / 64) * 8;
   ReaderMutexLock lock(mutex_);
   stats.entries = static_cast<std::int64_t>(cache_.size());
   for (const auto& [threshold, entry] : cache_) {
@@ -177,71 +192,51 @@ MfiSocOptions EngineOptions(MfiEngine engine) {
   return options;
 }
 
+// masks[s]: the queries with |q| <= s, for s in 0..M. Each query goes
+// into the mask of its own size, and a prefix OR then fills the rest.
+std::vector<DynamicBitset> SizeAtMost(const QueryLog& log) {
+  const int num_attrs = log.num_attributes();
+  std::vector<DynamicBitset> masks(num_attrs + 1,
+                                   DynamicBitset(log.size()));
+  for (int q = 0; q < log.size(); ++q) masks[log.query(q).Count()].Set(q);
+  for (int s = 1; s <= num_attrs; ++s) masks[s] |= masks[s - 1];
+  return masks;
+}
+
 }  // namespace
 
 PreprocessingCache::PreprocessingCache(const QueryLog& log,
                                        std::size_t mfi_capacity)
-    : log_(log),
-      walk_index_(log, EngineOptions(MfiEngine::kRandomWalk), mfi_capacity),
-      dfs_index_(log, EngineOptions(MfiEngine::kExactDfs), mfi_capacity) {}
+    : db_(ComplementedDb(log)),
+      size_at_most_(SizeAtMost(log)),
+      walk_index_(db_, EngineOptions(MfiEngine::kRandomWalk), mfi_capacity),
+      dfs_index_(db_, EngineOptions(MfiEngine::kExactDfs), mfi_capacity) {}
 
-void PreprocessingCache::EnsureBitmapsLocked() {
-  if (bitmaps_built_) return;
-  const int num_attrs = log_.num_attributes();
-  const std::size_t num_queries = static_cast<std::size_t>(log_.size());
-  queries_with_attr_.assign(num_attrs, DynamicBitset(num_queries));
-  size_at_most_.assign(num_attrs + 1, DynamicBitset(num_queries));
-  for (int q = 0; q < log_.size(); ++q) {
-    const DynamicBitset& query = log_.query(q);
-    query.ForEachSetBit(
-        [&](int attr) { queries_with_attr_[attr].Set(q); });
-    const std::size_t size = query.Count();
-    for (std::size_t s = size; s <= static_cast<std::size_t>(num_attrs);
-         ++s) {
-      size_at_most_[s].Set(q);
-    }
-  }
-  bitmaps_built_ = true;
-}
-
-int PreprocessingCache::MaxSatisfiableLocked(const DynamicBitset& tuple,
-                                             int m) const {
-  if (log_.empty()) return 0;
-  const int m_eff =
-      std::min<int>(std::max(0, m), static_cast<int>(tuple.Count()));
-  // Queries with |q| <= m_eff, minus every query mentioning an attribute
-  // the tuple lacks (q ⊆ t ⟺ q avoids ~t). The working bitmap lives in
-  // the thread's scratch arena: this runs once per request on the serve
-  // fast path, and the old per-request DynamicBitset copy was measurable
-  // allocator churn (tests assert the steady state allocates nothing).
+int PreprocessingCache::MaxSatisfiable(const DynamicBitset& tuple,
+                                       int m) const {
+  if (db_->num_transactions() == 0) return 0;
+  const int num_attrs = db_->num_items();
+  const int m_eff = std::min(
+      {std::max(0, m), static_cast<int>(tuple.Count()), num_attrs});
+  // Queries with |q| <= m_eff that avoid every attribute the tuple lacks
+  // (q ⊆ t ⟺ q avoids ~t). The working bitmap lives in the thread's
+  // scratch arena: this runs once per request on the serve fast path,
+  // and the steady state must allocate nothing (tests assert it).
   const std::size_t words = size_at_most_[m_eff].word_count();
   const kernels::ScratchScope scratch;
   std::uint64_t* candidates = scratch.arena().AllocateWords(words);
   std::memcpy(candidates, size_at_most_[m_eff].words(),
               words * sizeof(std::uint64_t));
-  for (int attr = 0; attr < log_.num_attributes(); ++attr) {
+  for (int attr = 0; attr < num_attrs; ++attr) {
     if (tuple.Test(attr)) continue;
-    const std::uint64_t* with_attr = queries_with_attr_[attr].words();
-    for (std::size_t w = 0; w < words; ++w) candidates[w] &= ~with_attr[w];
+    const std::uint64_t* tids = db_->item_tids(attr).words();
+    for (std::size_t w = 0; w < words; ++w) candidates[w] &= tids[w];
   }
   long long count = 0;
   for (std::size_t w = 0; w < words; ++w) {
     count += std::popcount(candidates[w]);
   }
   return static_cast<int>(count);
-}
-
-int PreprocessingCache::MaxSatisfiable(const DynamicBitset& tuple, int m) {
-  {
-    ReaderMutexLock lock(bitmap_mutex_);
-    if (bitmaps_built_) return MaxSatisfiableLocked(tuple, m);
-  }
-  // First use: build under the exclusive lock (EnsureBitmapsLocked
-  // re-checks, so racing builders are benign), then answer under it —
-  // cheaper than a release-and-relock for this one-time path.
-  WriterMutexLock write(bitmap_mutex_);
-  EnsureBitmapsLocked();
-  return MaxSatisfiableLocked(tuple, m);
 }
 
 CacheStats PreprocessingCache::mfi_stats() const {

@@ -1,8 +1,10 @@
 // Thread-safe preprocessing shared by all VisibilityService workers.
 //
-// Two expensive per-log artifacts are amortized across requests, the
-// paper's "Preprocessing Opportunities" (Sec IV.C) turned into a serving
-// concern:
+// One vertical layout of the log is built per instance, eagerly: the
+// complemented log ~Q as per-item tidsets (itemsets::TransactionDatabase,
+// tids(a) = the queries not mentioning a), plus per-size query masks.
+// Everything below reads it, the paper's "Preprocessing Opportunities"
+// (Sec IV.C) turned into a serving concern:
 //
 //  * SharedMfiIndex — an MfiItemsetSource whose per-threshold maximal-
 //    itemset collections live in an LRU-bounded map behind a
@@ -15,14 +17,13 @@
 //    eviction never invalidates a solve in flight. Partial
 //    (context-stopped) mining results are never promoted, matching
 //    MfiPreprocessedIndex; a follower whose leader only produced a
-//    partial re-mines under its own context.
+//    partial re-mines under its own context. The walk and DFS indexes
+//    of one PreprocessingCache share its database.
 //
-//  * Per-attribute query bitmaps — for each attribute a, the set of log
-//    queries mentioning a, plus per-size prefix masks. Built lazily on
-//    first use behind the same shared_mutex discipline; immutable after.
-//    They give MaxSatisfiable(t, m), an O(M · |Q|/64) upper bound on the
-//    objective that lets the service answer provably-zero requests
-//    without dispatching a solver.
+//  * MaxSatisfiable(t, m) — an O(M · |Q|/64) upper bound on the
+//    objective, read off the same tidsets, that lets the service answer
+//    provably-zero requests without dispatching a solver. It needs no
+//    lock: the layout is immutable after construction.
 //
 // The locking discipline described above is machine-checked: all guarded
 // state carries SOC_GUARDED_BY annotations and lock-assuming helpers are
@@ -63,12 +64,16 @@ class SharedMfiIndex : public MfiItemsetSource {
   using ItemsetsPtr =
       std::shared_ptr<const std::vector<itemsets::FrequentItemset>>;
 
-  // `capacity` bounds the number of cached thresholds (>= 1).
+  // `capacity` bounds the number of cached thresholds (>= 1). Builds its
+  // own ~Q of `log`.
   SharedMfiIndex(const QueryLog& log, MfiSocOptions options,
                  std::size_t capacity);
+  // Mines a ~Q shared with other readers.
+  SharedMfiIndex(std::shared_ptr<const itemsets::TransactionDatabase> db,
+                 MfiSocOptions options, std::size_t capacity);
 
   const itemsets::TransactionDatabase& complemented_db() const override {
-    return db_;
+    return *db_;
   }
   int log_size() const override { return log_size_; }
 
@@ -111,7 +116,7 @@ class SharedMfiIndex : public MfiItemsetSource {
                                        Flight* flight)
       SOC_EXCLUDES(mutex_, flights_mutex_);
 
-  const itemsets::TransactionDatabase db_;
+  const std::shared_ptr<const itemsets::TransactionDatabase> db_;
   const int log_size_;
   const MfiSocOptions options_;
   const std::size_t capacity_;
@@ -128,12 +133,14 @@ class SharedMfiIndex : public MfiItemsetSource {
       SOC_GUARDED_BY(flights_mutex_);
 };
 
-// The per-log preprocessing bundle a VisibilityService owns: one shared
-// MFI index per mining engine plus the lazily-built attribute bitmaps.
+// The per-log preprocessing bundle a VisibilityService owns: the log's
+// ~Q tidsets and per-size query masks, and one shared MFI index per
+// mining engine over those tidsets. Immutable after construction apart
+// from the indexes' internally locked caches.
 class PreprocessingCache {
  public:
-  // `log` must outlive the cache. `mfi_capacity` bounds each engine's
-  // threshold cache.
+  // `mfi_capacity` bounds each engine's threshold cache. The cache keeps
+  // no reference to `log`.
   PreprocessingCache(const QueryLog& log, std::size_t mfi_capacity);
 
   // Shared mining indexes for the two registered MFI solver flavors.
@@ -141,32 +148,19 @@ class PreprocessingCache {
   SharedMfiIndex& dfs_index() { return dfs_index_; }
 
   // Exact upper bound on the SOC objective: the number of log queries q
-  // with q ⊆ tuple and |q| <= min(m, |tuple|). Thread-safe; builds the
-  // bitmaps on first call.
-  int MaxSatisfiable(const DynamicBitset& tuple, int m)
-      SOC_EXCLUDES(bitmap_mutex_);
+  // with q ⊆ tuple and |q| <= min(m, |tuple|), that is
+  // |size_at_most[m_eff] ∩ ⋂_{a ∉ tuple} tids(a)|. Thread-safe.
+  int MaxSatisfiable(const DynamicBitset& tuple, int m) const;
 
   // Aggregated over both MFI indexes.
   CacheStats mfi_stats() const;
 
  private:
-  // Builds the bitmaps if absent; requires the exclusive bitmap lock.
-  void EnsureBitmapsLocked() SOC_REQUIRES(bitmap_mutex_);
-  // The bound computation proper; callable under a shared (or exclusive)
-  // bitmap lock once the bitmaps exist.
-  int MaxSatisfiableLocked(const DynamicBitset& tuple, int m) const
-      SOC_REQUIRES_SHARED(bitmap_mutex_);
-
-  const QueryLog& log_;
+  const std::shared_ptr<const itemsets::TransactionDatabase> db_;
+  // size_at_most_[s]: bitset over query ids with |q| <= s (s in 0..M).
+  const std::vector<DynamicBitset> size_at_most_;
   SharedMfiIndex walk_index_;
   SharedMfiIndex dfs_index_;
-
-  mutable SharedMutex bitmap_mutex_{lock_rank::kPreprocessingBitmaps};
-  bool bitmaps_built_ SOC_GUARDED_BY(bitmap_mutex_) = false;
-  // queries_with_attr_[a]: bitset over query ids mentioning attribute a.
-  std::vector<DynamicBitset> queries_with_attr_ SOC_GUARDED_BY(bitmap_mutex_);
-  // size_at_most_[s]: bitset over query ids with |q| <= s (s in 0..M).
-  std::vector<DynamicBitset> size_at_most_ SOC_GUARDED_BY(bitmap_mutex_);
 };
 
 }  // namespace soc::serve

@@ -1,7 +1,8 @@
 // VisibilityService: the long-lived, concurrent serving layer for
 // SOC-CB-QL. One service owns one query log (the paper's Q), a
-// PreprocessingCache amortizing MFI mining and attribute bitmaps across
-// requests, and a fixed ThreadPool of solver workers.
+// PreprocessingCache amortizing MFI mining and the zero-visibility gate
+// across requests (one ~Q tidset layout of the log serves both), and a
+// fixed ThreadPool of solver workers.
 //
 // Admission control. Submit() is non-blocking and always returns a
 // future:
@@ -106,7 +107,7 @@ struct SolveResponse {
   SocSolution solution;    // Meaningful iff status.ok().
   bool degraded = false;
   StopReason stop_reason = StopReason::kNone;
-  bool fast_path = false;  // Answered from the bitmap index, no solver.
+  bool fast_path = false;  // Answered by the zero-visibility gate.
   double queue_ms = 0;     // Submit → worker pickup.
   double solve_ms = 0;     // Worker pickup → response.
   // kOverloaded guidance: when to retry (0 = no hint) and why the

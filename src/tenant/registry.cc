@@ -22,8 +22,9 @@ Status TenantRegistry::CreateTenant(const std::string& id, QueryLog log) {
   auto snapshot = std::make_shared<const TenantSnapshot>(
       id, /*epoch=*/1, std::move(log), options_.mfi_cache_capacity);
   WriterMutexLock lock(mutex_);
-  // Racing creators: first swap wins, later ones fail as already-exists.
-  const auto [it, inserted] = tenants_.emplace(id, std::move(snapshot));
+  // Racing creators: first swap wins, later ones fail as already-exists
+  // (try_emplace leaves their snapshot to die after the lock releases).
+  const auto [it, inserted] = tenants_.try_emplace(id, std::move(snapshot));
   (void)it;
   if (!inserted) {
     return FailedPreconditionError("tenant '" + id +
@@ -45,21 +46,27 @@ StatusOr<std::int64_t> TenantRegistry::PublishEpoch(const std::string& id,
   }
   auto snapshot = std::make_shared<const TenantSnapshot>(
       id, base_epoch + 1, std::move(log), options_.mfi_cache_capacity);
-  WriterMutexLock lock(mutex_);
-  const auto it = tenants_.find(id);
-  if (it == tenants_.end()) {
-    return NotFoundError("unknown tenant '" + id + "'");
-  }
-  // A concurrent publish may have advanced the slot past our base; only
-  // move forward so epochs stay strictly increasing for readers.
-  if (it->second->epoch() >= snapshot->epoch()) {
-    return FailedPreconditionError(
-        "concurrent publish for tenant '" + id + "' won (slot at epoch " +
-        std::to_string(it->second->epoch()) + ")");
-  }
   const std::int64_t epoch = snapshot->epoch();
-  it->second = std::move(snapshot);  // Old epoch drains via shared_ptr.
-  ++epochs_published_;
+  // The old epoch leaves the slot under the lock but is released after
+  // it: if this was its last reference, destroying its log and mined
+  // itemsets must not hold up Acquire on every shard.
+  SnapshotPtr retired;
+  {
+    WriterMutexLock lock(mutex_);
+    const auto it = tenants_.find(id);
+    if (it == tenants_.end()) {
+      return NotFoundError("unknown tenant '" + id + "'");
+    }
+    // A concurrent publish may have advanced the slot past our base; only
+    // move forward so epochs stay strictly increasing for readers.
+    if (it->second->epoch() >= epoch) {
+      return FailedPreconditionError(
+          "concurrent publish for tenant '" + id + "' won (slot at epoch " +
+          std::to_string(it->second->epoch()) + ")");
+    }
+    retired = std::exchange(it->second, std::move(snapshot));
+    ++epochs_published_;
+  }
   return epoch;
 }
 

@@ -10,7 +10,8 @@
 // Writer path (admin): CreateTenant / PublishEpoch build the new
 // immutable snapshot unlocked, then swap the slot under the exclusive
 // lock. In-flight requests keep solving against whatever snapshot they
-// pinned; the old epoch drains when its last reference drops.
+// pinned; the old epoch drains when its last reference drops, and never
+// under the lock: the publisher releases its reference after unlocking.
 //
 // Sharding is fixed at construction (the ring is immutable); tenants map
 // onto shards by ConsistentHashRing::ShardOf(tenant_id), so a future

@@ -1,6 +1,7 @@
 #include "tenant/result_cache.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -13,10 +14,13 @@ void ResultCache::Count(const char* name) const {
   if (metrics_ != nullptr) metrics_->Increment(name);
 }
 
-CachedResultPtr ResultCache::Probe(const ResultCacheKey& key, bool count) {
+CachedResultPtr ResultCache::Probe(const ResultCacheKey& key, bool exact,
+                                   bool count) {
   MutexLock lock(mutex_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
+  // A heuristic's answer never serves an exact tier.
+  if (exact && !it->second.result->solution.proved_optimal) return nullptr;
   // Bump to most-recent; splice moves the node without invalidating the
   // iterator stored in the entry.
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -24,11 +28,11 @@ CachedResultPtr ResultCache::Probe(const ResultCacheKey& key, bool count) {
   return it->second.result;
 }
 
-CachedResultPtr ResultCache::Lookup(const ResultCacheKey& key,
+CachedResultPtr ResultCache::Lookup(const ResultCacheKey& key, bool exact,
                                     const Deadline& deadline,
                                     FlightPtr* leader_flight) {
   leader_flight->reset();
-  if (CachedResultPtr hit = Probe(key, /*count=*/true)) return hit;
+  if (CachedResultPtr hit = Probe(key, exact, /*count=*/true)) return hit;
 
   // Miss: join or found the flight for this key.
   FlightPtr flight;
@@ -63,7 +67,7 @@ CachedResultPtr ResultCache::Lookup(const ResultCacheKey& key,
   // miss above already tallied this lookup) or it abandoned. On
   // abandonment, retry leadership so one of the waiters still fills the
   // cache for the rest.
-  if (CachedResultPtr hit = Probe(key, /*count=*/false)) return hit;
+  if (CachedResultPtr hit = Probe(key, exact, /*count=*/false)) return hit;
   {
     MutexLock lock(flights_mutex_);
     auto& slot = flights_[key];
@@ -96,21 +100,26 @@ void ResultCache::Publish(const ResultCacheKey& key, FlightPtr flight,
   SOC_CHECK(flight != nullptr);
   {
     MutexLock lock(mutex_);
-    auto [it, inserted] = entries_.emplace(key, Entry{});
-    if (inserted) {
-      lru_.push_front(&it->first);
-      it->second.lru_pos = lru_.begin();
-    } else {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    }
-    it->second.result =
-        std::make_shared<const CachedResult>(std::move(result));
-    Count(kResultCacheInserts);
-    while (entries_.size() > capacity_) {
-      const ResultCacheKey* victim = lru_.back();
-      lru_.pop_back();
-      entries_.erase(*victim);
-      Count(kResultCacheEvictions);
+    const auto live = first_live_epoch_.find(key.tenant_id);
+    // A solve pinned to an epoch that a publish has since dropped
+    // inserts nothing.
+    if (live == first_live_epoch_.end() || key.epoch >= live->second) {
+      auto [it, inserted] = entries_.emplace(key, Entry{});
+      if (inserted) {
+        lru_.push_front(&it->first);
+        it->second.lru_pos = lru_.begin();
+      } else {
+        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      }
+      it->second.result =
+          std::make_shared<const CachedResult>(std::move(result));
+      Count(kResultCacheInserts);
+      while (entries_.size() > capacity_) {
+        const ResultCacheKey* victim = lru_.back();
+        lru_.pop_back();
+        entries_.erase(*victim);
+        Count(kResultCacheEvictions);
+      }
     }
   }
   Resolve(key, flight);
@@ -119,6 +128,33 @@ void ResultCache::Publish(const ResultCacheKey& key, FlightPtr flight,
 void ResultCache::Abandon(const ResultCacheKey& key, FlightPtr flight) {
   SOC_CHECK(flight != nullptr);
   Resolve(key, flight);
+}
+
+std::size_t ResultCache::DropEpochsBefore(const std::string& tenant_id,
+                                          std::int64_t epoch) {
+  MutexLock lock(mutex_);
+  std::int64_t& first_live = first_live_epoch_[tenant_id];
+  first_live = std::max(first_live, epoch);
+  // Keys order by (tenant, epoch, m, tuple bits): one tenant's older
+  // epochs form the range that starts at its smallest possible key.
+  ResultCacheKey bound;
+  bound.tenant_id = tenant_id;
+  bound.m = std::numeric_limits<int>::min();
+  bound.epoch = std::numeric_limits<std::int64_t>::min();
+  auto it = entries_.lower_bound(bound);
+  bound.epoch = first_live;
+  const auto end = entries_.lower_bound(bound);
+  std::size_t dropped = 0;
+  while (it != end) {
+    lru_.erase(it->second.lru_pos);
+    it = entries_.erase(it);
+    ++dropped;
+  }
+  if (metrics_ != nullptr && dropped > 0) {
+    metrics_->Increment(kResultCacheEpochDrops,
+                        static_cast<std::int64_t>(dropped));
+  }
+  return dropped;
 }
 
 std::size_t ResultCache::size() const {

@@ -1,16 +1,24 @@
 // ResultCache: the per-shard answer cache of the multi-tenant layer.
 //
 // Keyed by (tenant, canonical tuple bits, m, log-epoch): two requests
-// that agree on all four necessarily have the same optimal answer, so a
-// hit skips admission cost modeling, preprocessing and the solver
-// entirely. The epoch component makes PublishEpoch invalidation free —
-// no scan, no version check at read time: post-publish requests pin the
-// new snapshot, form keys with the new epoch, and old-epoch entries are
-// simply unreachable until the LRU ages them out.
+// that agree on all four have the same optimal answer, so a hit skips
+// admission cost modeling, preprocessing and the solver entirely.
 //
-// Only exact (OK, non-degraded) results are admitted; a degraded partial
-// answer is a function of its deadline, not of the key, and must never
-// be replayed to a request with a healthier budget.
+// What a hit may serve depends on the request's tier. An entry whose
+// solution is proved optimal answers every request for its key. An entry
+// left by a heuristic answers heuristic requests only: for an exact-tier
+// request it is a miss, and that request leads the solve whose
+// proved-optimal answer replaces the entry. Only OK, non-degraded
+// results are admitted; a degraded partial answer is a function of its
+// deadline, not of the key, and must never be replayed to a request with
+// a healthier budget.
+//
+// Epochs: post-publish requests pin the new snapshot and form keys with
+// the new epoch, so old-epoch entries are unreachable at once. The
+// publisher then drops them (DropEpochsBefore): the key order puts one
+// tenant's older epochs in one contiguous range, so this costs
+// O(dropped), and a solve pinned to a dropped epoch that finishes later
+// does not re-insert its answer.
 //
 // Misses are single-flight per key, mirroring SharedMfiIndex: concurrent
 // misses elect one leader (the caller that receives a Flight token);
@@ -19,12 +27,13 @@
 // leader. Followers bound their wait by the request deadline so a
 // wedged leader cannot stall a worker past its budget.
 //
-// Every hit/miss/evict path increments a named ServeMetrics counter
+// Every hit/miss/evict/drop path increments a named ServeMetrics counter
 // (kResultCache*); soc_lint's cache-metrics rule pins this invariant.
 
 #ifndef SOC_TENANT_RESULT_CACHE_H_
 #define SOC_TENANT_RESULT_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -48,6 +57,7 @@ inline constexpr char kResultCacheMisses[] = "result_cache.misses";
 inline constexpr char kResultCacheEvictions[] = "result_cache.evictions";
 inline constexpr char kResultCacheInserts[] = "result_cache.inserts";
 inline constexpr char kResultCacheFlightWaits[] = "result_cache.flight_waits";
+inline constexpr char kResultCacheEpochDrops[] = "result_cache.epoch_drops";
 
 struct ResultCacheKey {
   std::string tenant_id;
@@ -89,7 +99,8 @@ class ResultCache {
   // nullptr (counters dropped — tests only).
   ResultCache(std::size_t capacity, serve::ServeMetrics* metrics);
 
-  // The combined probe-or-join:
+  // The combined probe-or-join. `exact` marks an exact-tier request,
+  // which only a proved-optimal entry may answer (see above):
   //  * hit: returns the cached result (*leader_flight left null);
   //  * cold miss: returns nullptr and sets *leader_flight — the caller
   //    is the leader and owes Publish/Abandon;
@@ -99,14 +110,20 @@ class ResultCache {
   //    with *leader_flight null: the caller should solve for itself and
   //    not publish.
   // Every return path has counted exactly one hit or one miss.
-  CachedResultPtr Lookup(const ResultCacheKey& key, const Deadline& deadline,
-                         FlightPtr* leader_flight)
+  CachedResultPtr Lookup(const ResultCacheKey& key, bool exact,
+                         const Deadline& deadline, FlightPtr* leader_flight)
       SOC_EXCLUDES(mutex_, flights_mutex_);
 
-  // Leader success: inserts (evicting LRU entries past capacity) and
-  // releases followers.
+  // Leader success: inserts or replaces the entry (evicting LRU entries
+  // past capacity) and releases followers. A key of a dropped epoch is
+  // not inserted.
   void Publish(const ResultCacheKey& key, FlightPtr flight,
                CachedResult result) SOC_EXCLUDES(mutex_, flights_mutex_);
+
+  // Erases every entry of `tenant_id` from an epoch before `epoch`, and
+  // refuses later inserts for those epochs. Returns the number erased.
+  std::size_t DropEpochsBefore(const std::string& tenant_id,
+                               std::int64_t epoch) SOC_EXCLUDES(mutex_);
 
   // Leader failure (error / degraded / shed): releases followers without
   // inserting; the first re-prober becomes the new leader.
@@ -124,8 +141,9 @@ class ResultCache {
     std::list<const ResultCacheKey*>::iterator lru_pos;
   };
 
-  // Probe + recency bump; counts a hit when found and `count` is true.
-  CachedResultPtr Probe(const ResultCacheKey& key, bool count)
+  // Probe + recency bump; counts a hit when an entry that may answer
+  // (see `exact` on Lookup) is found and `count` is true.
+  CachedResultPtr Probe(const ResultCacheKey& key, bool exact, bool count)
       SOC_EXCLUDES(mutex_);
   // Resolve the flight for `key` (if it is still `flight`) and wake
   // followers.
@@ -140,6 +158,9 @@ class ResultCache {
   std::map<ResultCacheKey, Entry> entries_ SOC_GUARDED_BY(mutex_);
   // Keys point into entries_ (std::map nodes are stable).
   std::list<const ResultCacheKey*> lru_ SOC_GUARDED_BY(mutex_);
+  // Per tenant, the oldest epoch whose answers may still be inserted.
+  std::map<std::string, std::int64_t> first_live_epoch_
+      SOC_GUARDED_BY(mutex_);
 
   Mutex flights_mutex_{lock_rank::kResultCacheFlightTable};
   std::map<ResultCacheKey, FlightPtr> flights_ SOC_GUARDED_BY(flights_mutex_);

@@ -297,6 +297,8 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
   // Result cache: key on the pinned epoch, so a PublishEpoch between
   // Submit and pickup cannot surface another epoch's answer — and
   // conversely a stale entry from a drained epoch is unreachable here.
+  // An exact-tier request is answered only by a proved-optimal entry;
+  // otherwise it leads the solve that replaces the entry.
   ResultCacheKey key;
   key.tenant_id = request.tenant_id;
   key.tuple_bits = request.tuple.ToString();
@@ -308,10 +310,11 @@ serve::SolveResponse TenantShard::Execute(QueuedRequest& queued) {
     // The follower wait (if any) is the only blocking part of a lookup.
     obs::TraceSpan wait_span(tracing ? recorder : nullptr,
                              "result_cache_wait", "tenant");
-    cached = result_cache_.Lookup(key, queued.deadline, &flight);
+    cached = result_cache_.Lookup(key, IsExactSolver(request.solver),
+                                  queued.deadline, &flight);
   }
   if (cached != nullptr) {
-    // Replay: exact answers are a function of the key alone.
+    // Replay the stored answer with the solver that produced it.
     response.solution = cached->solution;
     response.solver = cached->solver;
     response.cache_hit = true;

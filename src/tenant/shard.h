@@ -15,7 +15,8 @@
 //    carries the epoch it was computed under;
 //  * a ResultCache keyed (tenant, tuple, m, epoch) answers repeated
 //    traffic without touching a solver, single-flighting concurrent
-//    misses on the same key.
+//    misses on the same key; an exact-tier request is answered only by
+//    a proved-optimal entry (tenant/result_cache.h).
 //
 // Per-tenant ledger: alongside the shard-level counters every outcome
 // also bumps `tenant.<id>.submitted/accepted/completed/errors/expired/
@@ -110,6 +111,7 @@ class TenantShard {
 
   int shard_index() const { return shard_index_; }
   int num_workers() const { return pool_.num_threads(); }
+  ResultCache& result_cache() { return result_cache_; }
   const ResultCache& result_cache() const { return result_cache_; }
 
   // Shard-local counters/histograms plus the usual gauge set (queue

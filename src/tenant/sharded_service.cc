@@ -33,6 +33,12 @@ StatusOr<std::int64_t> ShardedService::PublishEpoch(const std::string& id,
   obs::TraceSpan span(options_.shard.trace_recorder, "publish_epoch",
                       "tenant");
   auto epoch = registry_.PublishEpoch(id, std::move(log));
+  if (epoch.ok()) {
+    // Requests from now on pin the new epoch; the old answers are dead.
+    shards_[static_cast<std::size_t>(registry_.ShardOf(id))]
+        ->result_cache()
+        .DropEpochsBefore(id, *epoch);
+  }
   if (span.active()) {
     span.AddArg(obs::TraceArg::Str("tenant", id));
     span.AddArg(obs::TraceArg::Int("epoch", epoch.ok() ? *epoch : -1));

@@ -11,7 +11,8 @@
 // Admin path: CreateTenant / PublishEpoch build snapshots off to the
 //             side and swap registry slots; no shard pauses, no queue
 //             flush — in-flight requests finish on the epoch they
-//             pinned, new requests pick up the new one.
+//             pinned, new requests pick up the new one. A publish then
+//             drops the tenant's older-epoch result-cache entries.
 //
 // Metrics() folds per-shard snapshots into service totals (counters and
 // histograms merge exactly; see MetricsSnapshot::MergeFrom) and exposes
@@ -55,8 +56,8 @@ class ShardedService {
 
   // Admin path. Thread-safe against the data path and against itself.
   Status CreateTenant(const std::string& id, QueryLog log);
-  // Returns the new epoch; counts `epochs_published` and emits a
-  // publish_epoch trace span.
+  // Returns the new epoch; counts `epochs_published`, drops the tenant's
+  // older-epoch result-cache entries and emits a publish_epoch trace span.
   StatusOr<std::int64_t> PublishEpoch(const std::string& id, QueryLog log);
 
   // Data path: routes to the owning shard. Non-blocking; the returned

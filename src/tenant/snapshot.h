@@ -1,6 +1,7 @@
 // TenantSnapshot: one immutable epoch of one tenant's serving state —
-// the collapsed query log plus the PreprocessingCache (shared MFI
-// threshold indexes + attribute bitmaps) built over it.
+// the query log plus the PreprocessingCache (the log's ~Q tidsets, the
+// shared MFI threshold indexes over them and the zero-visibility gate)
+// built over it, eagerly, when the snapshot is made.
 //
 // Snapshots are the RCU unit of the multi-tenant layer. The registry
 // hands them out as shared_ptr-to-const; a request pins the snapshot it
@@ -9,14 +10,10 @@
 // is destroyed when its last pinned reference drops ("drains").
 //
 // Epochs are per-tenant, monotonically increasing from 1. The epoch
-// number participates in every ResultCache key, which is what makes
-// cache invalidation on publish free: new requests pin the new snapshot,
-// form keys with the new epoch, and simply never look up old entries
-// (which age out of the LRU).
-//
-// The PreprocessingCache holds a reference to the snapshot's own log;
-// snapshots are always heap-allocated (see TenantRegistry), so that
-// reference is stable for the snapshot's lifetime.
+// number participates in every ResultCache key, so new requests pin the
+// new snapshot, form keys with the new epoch, and never look up old
+// entries; ShardedService::PublishEpoch then drops the old epochs'
+// entries from the tenant's shard cache.
 
 #ifndef SOC_TENANT_SNAPSHOT_H_
 #define SOC_TENANT_SNAPSHOT_H_
@@ -49,14 +46,14 @@ class TenantSnapshot {
   std::int64_t epoch() const { return epoch_; }
   const QueryLog& log() const { return log_; }
 
-  // Logically const: the cache is internally synchronized lazy state
-  // (bitmaps, mined itemsets) over the immutable log.
+  // Logically const: the cache's only mutable state is its internally
+  // synchronized mined-itemset collections over the immutable log.
   serve::PreprocessingCache& preprocessing() const { return preprocessing_; }
 
  private:
   const std::string tenant_id_;
   const std::int64_t epoch_;
-  const QueryLog log_;  // Before preprocessing_: it holds a reference.
+  const QueryLog log_;  // Before preprocessing_: it is built from it.
   mutable serve::PreprocessingCache preprocessing_;
 };
 

@@ -151,8 +151,14 @@ TEST(DegradationLadderTest, ApplyLevelDowngradesExactTiersThenEverything) {
             "MaxFreqItemSets");
   EXPECT_EQ(DegradationLadder::ApplyLevel(1, "ConsumeAttrCumul"),
             "ConsumeAttrCumul");
-  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "MaxFreqItemSets"), "Fallback");
-  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "Fallback"), "Fallback");
+  // Level 2 runs nothing but the greedy tier.
+  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "MaxFreqItemSets"),
+            "ConsumeAttrCumul");
+  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "Fallback"), "ConsumeAttrCumul");
+  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "BranchAndBound"),
+            "ConsumeAttrCumul");
+  EXPECT_EQ(DegradationLadder::ApplyLevel(2, "ConsumeAttrCumul"),
+            "ConsumeAttrCumul");
 }
 
 // ---------------------------------------------------------------- retry

@@ -1,16 +1,21 @@
 // SharedMfiIndex concurrency tests: LRU eviction racing single-flight
-// mining, partial-result promotion rules, and the lazy bitmap build.
-// These run in the TSan CI job, which is what gives the "racing" cases
-// their teeth.
+// mining and partial-result promotion rules; PreprocessingCache's
+// zero-visibility bound against a naive count, and with concurrent
+// readers. These run in the TSan CI job, which is what gives the
+// "racing" cases their teeth.
 
 #include "serve/preprocessing_cache.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "check/instance.h"
+#include "common/random.h"
 #include "common/solve_context.h"
 #include "datagen/workload.h"
 
@@ -139,22 +144,67 @@ TEST(SharedMfiIndexTest, ConcurrentMissesShareOneFlight) {
   EXPECT_GE(stats.misses, 1);
 }
 
-TEST(PreprocessingCacheTest, ConcurrentFirstMaxSatisfiableBuildsOnce) {
-  const QueryLog log = MakeLog();
+// |{q : q ⊆ t, |q| <= min(m, |t|)}|, straight from the definition.
+int NaiveMaxSatisfiable(const QueryLog& log, const DynamicBitset& tuple,
+                        int m) {
+  const int m_eff = std::min(std::max(0, m), static_cast<int>(tuple.Count()));
+  int count = 0;
+  for (const DynamicBitset& q : log.queries()) {
+    if (q.IsSubsetOf(tuple) && static_cast<int>(q.Count()) <= m_eff) ++count;
+  }
+  return count;
+}
 
-  PreprocessingCache reference_cache(log, /*mfi_capacity=*/4);
+TEST(PreprocessingCacheTest, MaxSatisfiableMatchesANaiveCount) {
+  std::vector<QueryLog> logs;
+  logs.push_back(QueryLog(AttributeSchema::Anonymous(5)));  // Empty log.
+  logs.push_back(MakeLog());
+  datagen::SyntheticWorkloadOptions wide;
+  wide.num_queries = 300;  // Several words per tidset.
+  wide.seed = 3;
+  logs.push_back(datagen::MakeSyntheticWorkload(
+      AttributeSchema::Anonymous(20), wide));
+  // Adversarial shapes: empty and full-width queries, duplicates.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    logs.push_back(check::GenerateInstance(seed).log);
+  }
+  Rng rng(5);
+  for (std::size_t l = 0; l < logs.size(); ++l) {
+    const QueryLog& log = logs[l];
+    const PreprocessingCache cache(log, /*mfi_capacity=*/1);
+    const int width = log.num_attributes();
+    for (int trial = 0; trial < 12; ++trial) {
+      DynamicBitset tuple(static_cast<std::size_t>(width));
+      if (trial == 1) tuple.SetAll();
+      if (trial >= 2) {
+        for (int a = 0; a < width; ++a) {
+          tuple.Set(static_cast<std::size_t>(a),
+                    rng.NextBernoulli(trial % 2 == 0 ? 0.5 : 0.9));
+        }
+      }
+      // m = 0, every budget up to |t|, and budgets past it.
+      for (int m = -1; m <= width + 2; ++m) {
+        EXPECT_EQ(cache.MaxSatisfiable(tuple, m),
+                  NaiveMaxSatisfiable(log, tuple, m))
+            << "log " << l << ", tuple " << tuple.ToString() << ", m " << m;
+      }
+    }
+  }
+}
+
+TEST(PreprocessingCacheTest, ConcurrentMaxSatisfiableReadersAgree) {
+  const QueryLog log = MakeLog();
   DynamicBitset tuple(kAttrs);
   for (int a = 0; a < kAttrs; a += 2) tuple.Set(a);
-  const int expected = reference_cache.MaxSatisfiable(tuple, 3);
+  const int expected = NaiveMaxSatisfiable(log, tuple, 3);
 
-  PreprocessingCache cache(log, /*mfi_capacity=*/4);
+  const PreprocessingCache cache(log, /*mfi_capacity=*/4);
   constexpr int kThreads = 8;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
     threads.emplace_back([&] {
-      // All threads race the lazy bitmap build on first use.
       for (int i = 0; i < 16; ++i) {
         if (cache.MaxSatisfiable(tuple, 3) != expected) ++mismatches;
       }

@@ -34,19 +34,6 @@ TEST(QueryLogTest, CountQueriesContainingAll) {
   EXPECT_EQ(log.CountQueriesContainingAll(DynamicBitset(6)), 5);
 }
 
-TEST(QueryLogTest, ComplementedFlipsEveryBit) {
-  QueryLog log = testdata::PaperQueryLog();
-  QueryLog complemented = log.Complemented();
-  ASSERT_EQ(complemented.size(), log.size());
-  for (int i = 0; i < log.size(); ++i) {
-    for (int a = 0; a < log.num_attributes(); ++a) {
-      EXPECT_NE(log.query(i).Test(a), complemented.query(i).Test(a));
-    }
-  }
-  // ~q1 = [0,0,1,1,1,1].
-  EXPECT_EQ(complemented.query(0).ToString(), "001111");
-}
-
 TEST(QueryLogTest, EmptyQueryAllowed) {
   QueryLog log(AttributeSchema::Anonymous(4));
   log.AddQuery(DynamicBitset(4));

@@ -1,7 +1,9 @@
 // ResultCache: hit/miss accounting, LRU eviction order, single-flight
 // leadership (leader / follower / abandon-promotion / deadline-bounded
-// waits) and the epoch-keyed invalidation scheme — a PublishEpoch never
-// scans the cache; it just makes old-epoch keys unreachable.
+// waits), the tier rule (a heuristic's entry never answers an exact
+// request) and the epoch-keyed invalidation scheme — old-epoch keys are
+// unreachable at once, and DropEpochsBefore erases exactly one tenant's
+// older epochs.
 
 #include "tenant/result_cache.h"
 
@@ -41,7 +43,8 @@ CachedResult MakeResult(const std::string& selected, int satisfied) {
 void Insert(ResultCache& cache, const ResultCacheKey& key,
             CachedResult result) {
   ResultCache::FlightPtr flight;
-  ASSERT_EQ(cache.Lookup(key, Deadline::Infinite(), &flight), nullptr);
+  ASSERT_EQ(cache.Lookup(key, /*exact=*/false,
+                         Deadline::Infinite(), &flight), nullptr);
   ASSERT_NE(flight, nullptr) << "expected cold-miss leadership";
   cache.Publish(key, std::move(flight), std::move(result));
 }
@@ -53,7 +56,8 @@ TEST(ResultCacheTest, MissThenHitCountsExactlyOnceEach) {
 
   Insert(cache, key, MakeResult("0100", 7));
   ResultCache::FlightPtr flight;
-  const CachedResultPtr hit = cache.Lookup(key, Deadline::Infinite(), &flight);
+  const CachedResultPtr hit = cache.Lookup(key, /*exact=*/false,
+                                           Deadline::Infinite(), &flight);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(flight, nullptr);
   EXPECT_EQ(hit->solution.satisfied_queries, 7);
@@ -86,15 +90,19 @@ TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
 
   // Touch k1 so k2 becomes the LRU entry, then overflow with k3.
   ResultCache::FlightPtr flight;
-  ASSERT_NE(cache.Lookup(k1, Deadline::Infinite(), &flight), nullptr);
+  ASSERT_NE(cache.Lookup(k1, /*exact=*/false,
+                         Deadline::Infinite(), &flight), nullptr);
   Insert(cache, k3, MakeResult("0100", 3));
 
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(metrics.Get(kResultCacheEvictions), 1);
-  EXPECT_NE(cache.Lookup(k1, Deadline::Infinite(), &flight), nullptr);
-  EXPECT_NE(cache.Lookup(k3, Deadline::Infinite(), &flight), nullptr);
+  EXPECT_NE(cache.Lookup(k1, /*exact=*/false,
+                         Deadline::Infinite(), &flight), nullptr);
+  EXPECT_NE(cache.Lookup(k3, /*exact=*/false,
+                         Deadline::Infinite(), &flight), nullptr);
   // k2 was evicted: probing it is a fresh miss granting leadership.
-  EXPECT_EQ(cache.Lookup(k2, Deadline::Infinite(), &flight), nullptr);
+  EXPECT_EQ(cache.Lookup(k2, /*exact=*/false,
+                         Deadline::Infinite(), &flight), nullptr);
   ASSERT_NE(flight, nullptr);
   cache.Abandon(k2, std::move(flight));
 }
@@ -105,7 +113,8 @@ TEST(ResultCacheTest, FollowerWaitsForTheLeaderAndHits) {
   const ResultCacheKey key = MakeKey("acme", "1100", 2, 3);
 
   ResultCache::FlightPtr leader;
-  ASSERT_EQ(cache.Lookup(key, Deadline::Infinite(), &leader), nullptr);
+  ASSERT_EQ(cache.Lookup(key, /*exact=*/false,
+                         Deadline::Infinite(), &leader), nullptr);
   ASSERT_NE(leader, nullptr);
 
   CachedResultPtr follower_result;
@@ -114,7 +123,8 @@ TEST(ResultCacheTest, FollowerWaitsForTheLeaderAndHits) {
     follower.Submit([&cache, &key, &follower_result] {
       ResultCache::FlightPtr flight;
       follower_result =
-          cache.Lookup(key, Deadline::AfterSeconds(10), &flight);
+          cache.Lookup(key, /*exact=*/false,
+                       Deadline::AfterSeconds(10), &flight);
       EXPECT_EQ(flight, nullptr);
     });
     // Let the follower reach its wait, then resolve the flight.
@@ -131,7 +141,8 @@ TEST(ResultCacheTest, FollowerWaitsForTheLeaderAndHits) {
   EXPECT_EQ(metrics.Get(kResultCacheMisses), 2);
   EXPECT_EQ(metrics.Get(kResultCacheHits), 0);
   ResultCache::FlightPtr fresh;
-  EXPECT_NE(cache.Lookup(key, Deadline::Infinite(), &fresh), nullptr);
+  EXPECT_NE(cache.Lookup(key, /*exact=*/false,
+                         Deadline::Infinite(), &fresh), nullptr);
   EXPECT_EQ(metrics.Get(kResultCacheHits), 1);
 }
 
@@ -141,7 +152,8 @@ TEST(ResultCacheTest, AbandonPromotesTheFirstReProber) {
   const ResultCacheKey key = MakeKey("acme", "1010", 2, 1);
 
   ResultCache::FlightPtr leader;
-  ASSERT_EQ(cache.Lookup(key, Deadline::Infinite(), &leader), nullptr);
+  ASSERT_EQ(cache.Lookup(key, /*exact=*/false,
+                         Deadline::Infinite(), &leader), nullptr);
   ASSERT_NE(leader, nullptr);
 
   bool follower_promoted = false;
@@ -150,7 +162,8 @@ TEST(ResultCacheTest, AbandonPromotesTheFirstReProber) {
     follower.Submit([&cache, &key, &follower_promoted] {
       ResultCache::FlightPtr flight;
       const CachedResultPtr result =
-          cache.Lookup(key, Deadline::AfterSeconds(10), &flight);
+          cache.Lookup(key, /*exact=*/false,
+                       Deadline::AfterSeconds(10), &flight);
       // The leader abandoned: no result, but leadership transfers.
       EXPECT_EQ(result, nullptr);
       ASSERT_NE(flight, nullptr);
@@ -164,7 +177,8 @@ TEST(ResultCacheTest, AbandonPromotesTheFirstReProber) {
   EXPECT_TRUE(follower_promoted);
   // The promoted follower's publish is served to later probes.
   ResultCache::FlightPtr flight;
-  const CachedResultPtr hit = cache.Lookup(key, Deadline::Infinite(), &flight);
+  const CachedResultPtr hit = cache.Lookup(key, /*exact=*/false,
+                                           Deadline::Infinite(), &flight);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->solution.satisfied_queries, 9);
 }
@@ -175,7 +189,8 @@ TEST(ResultCacheTest, FollowerDeadlineExpiryFallsBackToSelfSolve) {
   const ResultCacheKey key = MakeKey("acme", "0011", 1, 1);
 
   ResultCache::FlightPtr leader;
-  ASSERT_EQ(cache.Lookup(key, Deadline::Infinite(), &leader), nullptr);
+  ASSERT_EQ(cache.Lookup(key, /*exact=*/false,
+                         Deadline::Infinite(), &leader), nullptr);
   ASSERT_NE(leader, nullptr);
 
   // A follower with a short budget must not stall behind a wedged
@@ -183,7 +198,8 @@ TEST(ResultCacheTest, FollowerDeadlineExpiryFallsBackToSelfSolve) {
   // itself without publishing.
   ResultCache::FlightPtr follower_flight;
   const CachedResultPtr result =
-      cache.Lookup(key, Deadline::AfterSeconds(0.05), &follower_flight);
+      cache.Lookup(key, /*exact=*/false,
+                   Deadline::AfterSeconds(0.05), &follower_flight);
   EXPECT_EQ(result, nullptr);
   EXPECT_EQ(follower_flight, nullptr);
   EXPECT_EQ(metrics.Get(kResultCacheMisses), 2);
@@ -202,18 +218,19 @@ TEST(ResultCacheTest, EpochBumpMakesOldEntriesUnreachable) {
   // Same tenant/tuple/m at the published epoch is a different key: the
   // stale answer is unreachable without any scan or version check.
   ResultCache::FlightPtr flight;
-  ASSERT_EQ(cache.Lookup(new_key, Deadline::Infinite(), &flight), nullptr);
+  ASSERT_EQ(cache.Lookup(new_key, /*exact=*/false,
+                         Deadline::Infinite(), &flight), nullptr);
   ASSERT_NE(flight, nullptr);
   cache.Publish(new_key, std::move(flight), MakeResult("0010", 11));
 
   const CachedResultPtr fresh =
-      cache.Lookup(new_key, Deadline::Infinite(), &flight);
+      cache.Lookup(new_key, /*exact=*/false, Deadline::Infinite(), &flight);
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->solution.satisfied_queries, 11);
-  // The old epoch's entry still exists (it ages out via LRU, it is not
-  // scanned away) but can only be reached by an old-epoch key.
+  // The old epoch's entry still exists until the publisher drops it, but
+  // can only be reached by an old-epoch key.
   const CachedResultPtr stale =
-      cache.Lookup(old_key, Deadline::Infinite(), &flight);
+      cache.Lookup(old_key, /*exact=*/false, Deadline::Infinite(), &flight);
   ASSERT_NE(stale, nullptr);
   EXPECT_EQ(stale->solution.satisfied_queries, 7);
 }
@@ -227,10 +244,95 @@ TEST(ResultCacheTest, KeysDifferingInAnyComponentMiss) {
         MakeKey("acme", "0110", 3, 1),     // m
         MakeKey("acme", "0110", 2, 2)}) {  // epoch
     ResultCache::FlightPtr flight;
-    EXPECT_EQ(cache.Lookup(other, Deadline::Infinite(), &flight), nullptr);
+    EXPECT_EQ(cache.Lookup(other, /*exact=*/false,
+                           Deadline::Infinite(), &flight), nullptr);
     ASSERT_NE(flight, nullptr);
     cache.Abandon(other, std::move(flight));
   }
+}
+
+CachedResult MakeProved(const std::string& selected, int satisfied) {
+  CachedResult result = MakeResult(selected, satisfied);
+  result.solution.proved_optimal = true;
+  return result;
+}
+
+TEST(ResultCacheTest, HeuristicEntryServesOnlyHeuristicRequests) {
+  serve::ServeMetrics metrics;
+  ResultCache cache(8, &metrics);
+  const ResultCacheKey key = MakeKey("acme", "0110", 2, 1);
+  Insert(cache, key, MakeResult("0100", 7));
+
+  ResultCache::FlightPtr flight;
+  ASSERT_NE(cache.Lookup(key, /*exact=*/false, Deadline::Infinite(), &flight),
+            nullptr);
+  // For an exact request the heuristic's entry is a miss, and the request
+  // leads the solve whose proved-optimal answer replaces it.
+  ASSERT_EQ(cache.Lookup(key, /*exact=*/true, Deadline::Infinite(), &flight),
+            nullptr);
+  ASSERT_NE(flight, nullptr);
+  EXPECT_EQ(metrics.Get(kResultCacheHits), 1);
+  EXPECT_EQ(metrics.Get(kResultCacheMisses), 2);
+  cache.Publish(key, std::move(flight), MakeProved("0010", 9));
+  EXPECT_EQ(cache.size(), 1u);
+
+  for (const bool exact : {true, false}) {
+    const CachedResultPtr hit =
+        cache.Lookup(key, exact, Deadline::Infinite(), &flight);
+    ASSERT_NE(hit, nullptr) << exact;
+    EXPECT_EQ(flight, nullptr);
+    EXPECT_EQ(hit->solution.satisfied_queries, 9);
+  }
+}
+
+TEST(ResultCacheTest, DropEpochsBeforeErasesOneTenantsOlderEpochs) {
+  serve::ServeMetrics metrics;
+  ResultCache cache(32, &metrics);
+  for (const char* tenant : {"a", "ab", "b"}) {
+    for (std::int64_t epoch = 1; epoch <= 3; ++epoch) {
+      for (const char* bits : {"0110", "1000"}) {
+        Insert(cache, MakeKey(tenant, bits, 2, epoch), MakeResult(bits, 1));
+      }
+    }
+  }
+  ASSERT_EQ(cache.size(), 18u);
+  EXPECT_EQ(cache.DropEpochsBefore("ab", 3), 4u);
+  EXPECT_EQ(cache.size(), 14u);
+  EXPECT_EQ(metrics.Get(kResultCacheEpochDrops), 4);
+  for (const char* tenant : {"a", "ab", "b"}) {
+    for (std::int64_t epoch = 1; epoch <= 3; ++epoch) {
+      ResultCache::FlightPtr flight;
+      const bool present =
+          cache.Lookup(MakeKey(tenant, "1000", 2, epoch), /*exact=*/false,
+                       Deadline::Infinite(), &flight) != nullptr;
+      if (flight != nullptr) cache.Abandon(MakeKey(tenant, "1000", 2, epoch),
+                                           std::move(flight));
+      EXPECT_EQ(present, std::string(tenant) != "ab" || epoch == 3)
+          << tenant << " epoch " << epoch;
+    }
+  }
+  // Dropping again, or an older floor, erases nothing more; the LRU list
+  // stays consistent with the map through later evictions.
+  EXPECT_EQ(cache.DropEpochsBefore("ab", 2), 0u);
+  for (int i = 0; i < 40; ++i) {
+    Insert(cache, MakeKey("c", std::to_string(i), 1, 1), MakeResult("1", 1));
+  }
+  EXPECT_EQ(cache.size(), 32u);
+}
+
+TEST(ResultCacheTest, AnswerOfADroppedEpochIsNotInserted) {
+  ResultCache cache(8, nullptr);
+  const ResultCacheKey key = MakeKey("acme", "0110", 2, 1);
+  ResultCache::FlightPtr flight;
+  ASSERT_EQ(cache.Lookup(key, /*exact=*/false, Deadline::Infinite(), &flight),
+            nullptr);
+  ASSERT_NE(flight, nullptr);
+  EXPECT_EQ(cache.DropEpochsBefore("acme", 2), 0u);
+  // The solve pinned to epoch 1 finishes after the publish.
+  cache.Publish(key, std::move(flight), MakeResult("0100", 7));
+  EXPECT_EQ(cache.size(), 0u);
+  Insert(cache, MakeKey("acme", "0110", 2, 2), MakeResult("0100", 7));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "tenant/sharded_service.h"
 
 #include <atomic>
+#include <future>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "boolean/query_log.h"
 #include "boolean/schema.h"
 #include "common/thread_pool.h"
+#include "datagen/workload.h"
 
 namespace soc::tenant {
 namespace {
@@ -198,7 +200,6 @@ TEST(ShardedServiceTest, ConcurrentPublishesNeverYieldStaleResults) {
   }
   service.Drain();
 
-  int hits = 0;
   for (int i = 0; i < kRequests; ++i) {
     const serve::SolveResponse response = futures[i].get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
@@ -208,12 +209,125 @@ TEST(ShardedServiceTest, ConcurrentPublishesNeverYieldStaleResults) {
     EXPECT_EQ(response.solution.satisfied_queries,
               CountSatisfiedQueries(epoch_log, response.solution.selected))
         << "objective does not match the epoch the response claims";
-    if (response.cache_hit) ++hits;
   }
-  // Repeated tuples per epoch make hits overwhelmingly likely; the point
-  // of the assertion is that hits and publishes genuinely interleaved.
-  EXPECT_GT(hits, 0);
   EXPECT_EQ(service.registry().epochs_published(), kPublishes);
+
+  // A publish drops the superseded epoch's entries and keeps its late
+  // solves out of the cache, so whether the storm above saw a hit depends
+  // on the schedule. At the last epoch, a repeated request must hit (m = 2
+  // makes a key the storm did not use).
+  const std::int64_t last = last_epoch.load();
+  const QueryLog last_log = log_for_epoch(last);
+  for (const char* id : {"last-1", "last-2"}) {
+    const serve::SolveResponse response =
+        service.Submit(MakeRequest(id, "acme", "1111", 2)).get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.epoch, last) << id;
+    EXPECT_EQ(response.cache_hit, std::string(id) == "last-2") << id;
+    EXPECT_EQ(response.solution.satisfied_queries,
+              CountSatisfiedQueries(last_log, response.solution.selected))
+        << id;
+  }
+}
+
+// The result cache serves an exact tier only proved-optimal answers. On
+// the seed-17 catalog (300 queries over 14 attributes) ConsumeAttrCumul
+// satisfies 30 queries for this key, and the optimum is 33.
+TEST(ShardedServiceTest, ExactTierIsNeverServedAHeuristicsCachedAnswer) {
+  datagen::SyntheticWorkloadOptions workload;
+  workload.num_queries = 300;
+  workload.seed = 17;
+  ShardedService service(SmallOptions(1));
+  ASSERT_TRUE(service
+                  .CreateTenant("acme", datagen::MakeSyntheticWorkload(
+                                            AttributeSchema::Anonymous(14),
+                                            workload))
+                  .ok());
+  serve::SolveRequest greedy = MakeRequest("g1", "acme", "10001010110110", 5);
+  const serve::SolveResponse heuristic = service.Submit(greedy).get();
+  ASSERT_TRUE(heuristic.status.ok()) << heuristic.status.ToString();
+  EXPECT_EQ(heuristic.solution.satisfied_queries, 30);
+  EXPECT_FALSE(heuristic.solution.proved_optimal);
+
+  serve::SolveRequest exact = greedy;
+  exact.id = "b1";
+  exact.solver = "BranchAndBound";
+  const serve::SolveResponse solved = service.Submit(exact).get();
+  ASSERT_TRUE(solved.status.ok()) << solved.status.ToString();
+  EXPECT_FALSE(solved.cache_hit);
+  EXPECT_EQ(solved.solver, "BranchAndBound");
+  EXPECT_EQ(solved.solution.satisfied_queries, 33);
+  EXPECT_TRUE(solved.solution.proved_optimal);
+
+  // The proved-optimal answer replaced the entry and now serves both tiers.
+  for (serve::SolveRequest* request : {&exact, &greedy}) {
+    request->id += "-again";
+    const serve::SolveResponse replay = service.Submit(*request).get();
+    ASSERT_TRUE(replay.status.ok()) << request->id;
+    EXPECT_TRUE(replay.cache_hit) << request->id;
+    EXPECT_EQ(replay.solution.satisfied_queries, 33) << request->id;
+    EXPECT_TRUE(replay.solution.proved_optimal) << request->id;
+  }
+}
+
+double CacheEntries(const ShardedService& service) {
+  return service.Metrics().gauges.at("result_cache.entries");
+}
+
+TEST(ShardedServiceTest, PublishDropsTheTenantsOlderEpochEntries) {
+  ShardedService service(SmallOptions(1));
+  const QueryLog log = MakeLog(6, {{0, 1}, {1, 2}, {0}, {3}});
+  ASSERT_TRUE(service.CreateTenant("a", log).ok());
+  ASSERT_TRUE(service.CreateTenant("b", log).ok());
+  const std::vector<std::string> tuples = {"110000", "011000", "100100"};
+  const auto solve_all = [&](const std::string& tenant, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const serve::SolveResponse response =
+          service.Submit(MakeRequest(tenant + std::to_string(i), tenant,
+                                     tuples[i], 2))
+              .get();
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    }
+  };
+  solve_all("a", 3);
+  solve_all("b", 2);
+  ASSERT_EQ(CacheEntries(service), 5.0);
+
+  ASSERT_EQ(*service.PublishEpoch("a", log), 2);
+  // Only b's entries are left: none of a's is from its live epoch yet.
+  EXPECT_EQ(CacheEntries(service), 2.0);
+  EXPECT_EQ(service.Metrics().counters.at("result_cache.epoch_drops"), 3);
+  solve_all("a", 3);
+  EXPECT_EQ(CacheEntries(service), 5.0);
+}
+
+TEST(ShardedServiceTest, SolvePinnedToADroppedEpochDoesNotReinsert) {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ShardedServiceOptions options = SmallOptions(1);
+  options.shard.worker_hook = [&](const serve::WorkerHookContext& hook) {
+    if (hook.request.id == "slow") {
+      entered.set_value();
+      released.wait();
+    }
+    return Status::OK();
+  };
+  ShardedService service(options);
+  const QueryLog log = MakeLog(6, {{0, 1}, {1, 2}, {0}, {3}});
+  ASSERT_TRUE(service.CreateTenant("a", log).ok());
+  std::future<serve::SolveResponse> slow =
+      service.Submit(MakeRequest("slow", "a", "110000", 2));
+  entered.get_future().wait();  // Pinned to epoch 1, leading its flight.
+  const StatusOr<std::int64_t> epoch = service.PublishEpoch("a", log);
+  release.set_value();  // Before any assertion can leave the worker stuck.
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(*epoch, 2);
+  const serve::SolveResponse response = slow.get();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_EQ(response.epoch, 1);
+  service.Drain();
+  EXPECT_EQ(CacheEntries(service), 0.0);
 }
 
 TEST(ShardedServiceTest, MetricsMergeLedgersAndPerShardGauges) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "paper_example.h"
 
 namespace soc {
 namespace {
@@ -48,6 +49,26 @@ TEST(SolverRegistryTest, ConstructedSolverReportsItsOwnName) {
       EXPECT_EQ(solver.value()->name(), name) << name;
     }
   }
+}
+
+TEST(SolverRegistryTest, ExactTiersProveTheirAnswersOptimal) {
+  // The exact column decides which cached answers may serve a request
+  // (tenant/result_cache.h): an exact tier's undegraded answer must carry
+  // proved_optimal, and a heuristic's never does.
+  const std::set<std::string> exact = {"BruteForce", "BranchAndBound", "ILP",
+                                       "MaxFreqItemSets-dfs", "Fallback"};
+  const QueryLog log = testdata::PaperQueryLog();
+  for (const std::string& name : RegisteredSolverNames()) {
+    EXPECT_EQ(IsExactSolver(name), exact.count(name) == 1) << name;
+    auto solver = CreateSolverByName(name);
+    ASSERT_TRUE(solver.ok()) << name;
+    const auto solution =
+        solver.value()->Solve(log, testdata::PaperNewTuple(), 3);
+    ASSERT_TRUE(solution.ok()) << name;
+    ASSERT_FALSE(IsDegraded(solution.value())) << name;
+    EXPECT_EQ(solution->proved_optimal, IsExactSolver(name)) << name;
+  }
+  EXPECT_FALSE(IsExactSolver("NoSuchSolver"));
 }
 
 TEST(SolverRegistryTest, UnknownNameIsNotFound) {

@@ -1,5 +1,8 @@
 #include "itemsets/transaction_db.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "paper_example.h"
@@ -7,16 +10,17 @@
 namespace soc::itemsets {
 namespace {
 
-TransactionDatabase MakeSmallDb() {
-  // 4 transactions over 5 items.
-  std::vector<DynamicBitset> rows = {
+// 4 transactions over 5 items.
+std::vector<DynamicBitset> SmallRows() {
+  return {
       DynamicBitset::FromString("11010"),
       DynamicBitset::FromString("01110"),
       DynamicBitset::FromString("11000"),
       DynamicBitset::FromString("00011"),
   };
-  return TransactionDatabase(std::move(rows));
 }
+
+TransactionDatabase MakeSmallDb() { return TransactionDatabase(SmallRows()); }
 
 TEST(TransactionDbTest, Dimensions) {
   TransactionDatabase db = MakeSmallDb();
@@ -30,9 +34,10 @@ TEST(TransactionDbTest, VerticalColumnsMatchRows) {
   EXPECT_EQ(db.item_tids(1).SetBits(), (std::vector<int>{0, 1, 2}));
   // Item 4 appears only in transaction 3.
   EXPECT_EQ(db.item_tids(4).SetBits(), (std::vector<int>{3}));
+  const std::vector<DynamicBitset> rows = SmallRows();
   for (int i = 0; i < db.num_items(); ++i) {
     for (int t = 0; t < db.num_transactions(); ++t) {
-      EXPECT_EQ(db.item_tids(i).Test(t), db.transaction(t).Test(i));
+      EXPECT_EQ(db.item_tids(i).Test(t), rows[t].Test(i));
     }
   }
 }
@@ -65,12 +70,22 @@ TEST(TransactionDbTest, ItemSupports) {
 }
 
 TEST(TransactionDbTest, FromComplementedQueryLog) {
-  // Complementing the paper's query log: ~q1 = 001111.
-  TransactionDatabase db =
-      TransactionDatabase::FromComplementedQueryLog(testdata::PaperQueryLog());
+  // Complementing the paper's query log: transaction q of ~Q holds the
+  // attributes query q does not mention, so ~q1 = 001111.
+  const QueryLog log = testdata::PaperQueryLog();
+  TransactionDatabase db = TransactionDatabase::FromComplementedQueryLog(log);
   EXPECT_EQ(db.num_transactions(), 5);
   EXPECT_EQ(db.num_items(), 6);
-  EXPECT_EQ(db.transaction(0).ToString(), "001111");
+  for (int a = 0; a < db.num_items(); ++a) {
+    for (int q = 0; q < log.size(); ++q) {
+      EXPECT_NE(db.item_tids(a).Test(q), log.query(q).Test(a));
+    }
+  }
+  std::string first;
+  for (int a = 0; a < db.num_items(); ++a) {
+    first += db.item_tids(a).Test(0) ? '1' : '0';
+  }
+  EXPECT_EQ(first, "001111");
   // freq(~t) over ~Q == number of queries disjoint from ~t == number of
   // queries contained in t.
   DynamicBitset t = testdata::PaperNewTuple();
@@ -83,6 +98,14 @@ TEST(TransactionDbTest, FromBooleanTable) {
   EXPECT_EQ(db.num_transactions(), 7);
   // FourDoor (item 1) appears in 5 cars.
   EXPECT_EQ(db.item_tids(1).Count(), 5u);
+}
+
+TEST(TransactionDbTest, ComplementOfEmptyLogKeepsItsWidth) {
+  const TransactionDatabase db = TransactionDatabase::FromComplementedQueryLog(
+      QueryLog(AttributeSchema::Anonymous(4)));
+  EXPECT_EQ(db.num_items(), 4);
+  EXPECT_EQ(db.num_transactions(), 0);
+  EXPECT_EQ(db.Support(DynamicBitset::FromString("1010")), 0);
 }
 
 TEST(TransactionDbTest, EmptyDatabase) {

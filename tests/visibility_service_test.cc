@@ -347,6 +347,41 @@ TEST(VisibilityServiceTest, BreakerTripsFaultyTierToFallback) {
   EXPECT_EQ(metrics.gauges.at("breaker.Fallback.state"), 0.0);
 }
 
+TEST(VisibilityServiceTest, LadderLevelTwoRunsTheGreedyTier) {
+  VisibilityServiceOptions options;
+  options.num_workers = 1;
+  // Every pickup climbs one level: the smoothed occupancy is the last
+  // sample, at or above the high watermark and never down to the low one.
+  options.ladder.ewma_alpha = 1;
+  options.ladder.high_watermark = 0;
+  options.ladder.low_watermark = -1;
+  VisibilityService service(MakeLog(), options);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(service
+                    .Submit(MakeRequest(service.log(), 0xEDBu, 3,
+                                        "ConsumeAttrCumul"))
+                    .get()
+                    .status.ok());
+  }
+  ASSERT_EQ(service.Metrics().gauges.at("ladder.level"), 2.0);
+
+  // A greedy request keeps its tier instead of becoming an exact search.
+  const SolveResponse greedy =
+      service.Submit(MakeRequest(service.log(), 0xEDBu, 3, "ConsumeAttrCumul"))
+          .get();
+  ASSERT_TRUE(greedy.status.ok()) << greedy.status.ToString();
+  EXPECT_EQ(greedy.solver, "ConsumeAttrCumul");
+  EXPECT_FALSE(greedy.ladder_downgraded);
+  // Every other tier comes down to it.
+  for (const char* solver : {"BranchAndBound", "Fallback", "MaxFreqItemSets"}) {
+    const SolveResponse downgraded =
+        service.Submit(MakeRequest(service.log(), 0xEDBu, 3, solver)).get();
+    ASSERT_TRUE(downgraded.status.ok()) << solver;
+    EXPECT_EQ(downgraded.solver, "ConsumeAttrCumul") << solver;
+    EXPECT_TRUE(downgraded.ladder_downgraded) << solver;
+  }
+}
+
 TEST(VisibilityServiceTest, WatchdogCancelsStuckWorker) {
   VisibilityServiceOptions options;
   options.num_workers = 1;
